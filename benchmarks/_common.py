@@ -44,7 +44,6 @@ def emit_json(
     payload: dict[str, Any],
     metrics: bool = False,
     dtype=None,
-    arena_stats: bool = False,
     rank_metrics: dict[str, Any] | None = None,
     prometheus: bool = False,
 ) -> Path:
@@ -58,11 +57,7 @@ def emit_json(
     exercised.
 
     ``dtype`` records the element type the benchmark ran at (a
-    ``"dtype"`` key, e.g. ``"float32"``) and ``arena_stats=True`` embeds
-    the default :class:`repro.perf.BufferArena` snapshot under an
-    ``"arena"`` key — together these let an artifact capture the
-    float32-vs-float64 memory-traffic delta and the buffer-reuse rate of
-    a kernel run.
+    ``"dtype"`` key, e.g. ``"float32"``).
 
     ``rank_metrics`` embeds per-rank registry dumps from a distributed
     run (e.g. ``BackendResult.rank_metrics``) under a ``"rank_metrics"``
@@ -80,10 +75,6 @@ def emit_json(
     record = dict(payload)
     if dtype is not None:
         record["dtype"] = np.dtype(dtype).name
-    if arena_stats:
-        from repro.perf import get_default_arena
-
-        record["arena"] = get_default_arena().snapshot()
     if metrics:
         record["metrics"] = obs.get_registry().snapshot()
     if rank_metrics is not None:

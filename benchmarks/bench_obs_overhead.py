@@ -46,7 +46,6 @@ from repro.training import TrainingPipeline
 
 OVERHEAD_BOUND = 1.015
 K_HOPS = 3
-CHUNK_ROWS = 2048
 N_FEATURES = 32
 
 TRACE_ARTIFACT = "E30_obs_trace.json"
@@ -92,12 +91,12 @@ def _overhead_measurements(n_nodes: int, repeat: int, inner: int) -> dict:
         n_nodes, n_classes=4, homophily=0.8, avg_degree=10,
         n_features=N_FEATURES, feature_signal=1.0, seed=1,
     )
-    engine = PropagationEngine(cache=OperatorCache(), chunk_rows=CHUNK_ROWS)
+    engine = PropagationEngine(cache=OperatorCache())
     engine.operator(graph, "gcn")  # warm the operator cache
     # The exact hop operator the disabled propagate path dispatches to
-    # (a FusedOperator when sparsetools is available, else the cached
-    # materialized matrix) — the raw loop must hand-inline the *same*
-    # kernel or the ratio measures kernel disparity, not instrumentation.
+    # (the FusedOperator of the gcn kind) — the raw loop must hand-inline
+    # the *same* product or the ratio measures kernel disparity, not
+    # instrumentation.
     hop_op = engine._hop_operator(graph, "gcn", None, engine.dtype)
     x = np.asarray(graph.x, dtype=engine.dtype)
 
@@ -147,7 +146,6 @@ def _overhead_measurements(n_nodes: int, repeat: int, inner: int) -> dict:
     return {
         "n_nodes": n_nodes,
         "k_hops": K_HOPS,
-        "chunk_rows": CHUNK_ROWS,
         "repeat": repeat,
         "inner": inner,
         "raw_khop_s": raw_s,
@@ -366,7 +364,7 @@ def test_obs_overhead(benchmark):
         600, n_classes=4, homophily=0.8, avg_degree=10,
         n_features=N_FEATURES, feature_signal=1.0, seed=1,
     )
-    engine = PropagationEngine(cache=OperatorCache(), chunk_rows=CHUNK_ROWS)
+    engine = PropagationEngine(cache=OperatorCache())
     engine.operator(graph, "gcn")
     previous = obs.configure(enabled=False)
     try:

@@ -1,11 +1,12 @@
-"""E28 (repro.perf): operator caching and chunked propagation pay off.
+"""E28 (repro.perf): operator caching and shared propagation pay off.
 
 Claims measured here:
 
 1. Warm :class:`repro.perf.OperatorCache` lookups are orders of magnitude
    faster than cold operator construction (>= 10x is the acceptance bar).
-2. Row-chunked K-hop propagation matches the monolithic SpMM result to
-   ``np.allclose`` tolerance while bounding the transient operator slice.
+2. A K-hop loop through :func:`repro.perf.chunked_spmm` (the entry point
+   that owns the ``propagation.hop`` fault site) matches the monolithic
+   ``operator @ X`` loop.
 3. A second model asking for the same hop stack pays (near-)zero cost.
 
 Alongside the usual text table, a machine-readable JSON summary is written
@@ -23,7 +24,6 @@ from repro.datasets import contextual_sbm
 from repro.perf import OperatorCache, PropagationEngine, chunked_spmm
 
 K_HOPS = 3
-CHUNK_ROWS = 2048
 SIZES = (1000, 4000, 12000)
 
 
@@ -67,14 +67,14 @@ def test_operator_cache_and_chunked_propagation(benchmark):
         def chunked():
             h = graph.x
             for _ in range(K_HOPS):
-                h = chunked_spmm(operator, h, chunk_rows=CHUNK_ROWS)
+                h = chunked_spmm(operator, h)
             return h
 
         mono_s = _time(monolithic)
         chunk_s = _time(chunked)
         max_diff = float(np.max(np.abs(monolithic() - chunked())))
 
-        engine = PropagationEngine(cache=cache, chunk_rows=CHUNK_ROWS)
+        engine = PropagationEngine(cache=cache)
         engine.propagate(graph, graph.x, K_HOPS, kind="gcn")
         reuse_s = _time(
             lambda: engine.propagate(graph, graph.x, K_HOPS, kind="gcn"), repeat=5
@@ -88,7 +88,6 @@ def test_operator_cache_and_chunked_propagation(benchmark):
         records.append({
             "n_nodes": n,
             "k_hops": K_HOPS,
-            "chunk_rows": CHUNK_ROWS,
             "cold_build_s": cold,
             "warm_lookup_s": warm,
             "warm_speedup": speedup,

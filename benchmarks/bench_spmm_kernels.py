@@ -1,35 +1,33 @@
-"""E33 (repro.perf.kernels): the hand-rolled SpMM kernel layer pays off.
+"""E33 (repro.perf.propagation): the SpMM path against plain ``A @ X``.
 
-Claims measured here:
+Every hop in the library is one SciPy product. The baseline throughout
+is the simplest alternative — ``A @ X`` on a CSR operator — and three
+rows are measured:
 
-1. **Blocked beats slicing.** On a >= 100k-node graph the zero-copy
-   blocked kernel (``chunked_spmm(kernel="blocked")``, column-tiled to
-   the L2 budget) sustains >= ``BLOCKED_BOUND``x (1.5x) the throughput
-   of the legacy per-chunk ``operator[start:stop] @ dense`` slice path
-   at serving width (d=8) — and the two results are bitwise identical.
-2. **Fused normalize+propagate.** The ``gcn`` engine's fused kernel
-   (``D^-1/2 A D^-1/2 @ X`` with the scaling applied on the fly) makes a
-   cold K-hop precompute at serving width at least as fast as
-   materializing the normalized operator first — while never allocating
-   the nnz-sized operator — and agrees with it to ~1e-12.
-3. **float32 end to end.** A ``dtype=float32`` K-hop precompute runs
-   >= ``F32_BOUND``x (1.7x) faster than float64 at training width
-   (d=64) — the kernel is memory-bound, so halving the element size
-   roughly doubles throughput — while the final hop agrees with the
-   float64 stack to < ``ACCURACY_BOUND`` (1e-3) and a model trained on
-   the float32 stack matches the float64 test accuracy to the same
-   bound.
-4. **Multi-RHS amortization.** ``rows_spmm_multi`` answers a batch of
-   right-hand sides over one decoded row band no slower than repeated
-   ``rows_spmm`` calls that re-decode per RHS.
-5. **No regression upstream.** The E28 artifact (when present) still
-   clears its own warm-speedup floor — the kernel layer must not have
-   slowed the operator-cache path it sits behind.
+1. **Dispatcher vs ``A @ X``.** ``chunked_spmm`` (the entry point that
+   owns the ``propagation.hop`` fault site) against the bare product at
+   serving width (d=8): the results must be bitwise identical, and the
+   time ratio shows the dispatcher's overhead.
+2. **Cold fused K-hop vs materialize-then-multiply.** The ``gcn``
+   engine applies the normalization on the fly (``s * (A @ (s * X))``);
+   the baseline builds ``D^-1/2 (A + I) D^-1/2`` first and then
+   multiplies K times. Both start from a cold operator cache, so the
+   operator build is on the clock. The fused stack must be at least as
+   fast (>= ``FUSED_BOUND``x, relaxed on ``--smoke``) and agree to < 1e-9.
+3. **float32 vs float64.** A ``dtype=float32`` K-hop precompute at
+   training width (d=64) runs >= ``F32_BOUND``x (1.7x) faster than
+   float64 — the product is memory-bound, so halving the element size
+   roughly doubles throughput — while the stack agrees to <
+   ``ACCURACY_BOUND`` (1e-3) and a model trained on the float32 stack
+   matches the float64 test accuracy to the same bound.
+
+The E28 artifact (when present) must still clear its own warm-speedup
+floor: the propagation path must not have slowed the operator-cache path
+it sits behind.
 
 Run directly (``python benchmarks/bench_spmm_kernels.py [--smoke]``) or
 through pytest; ``--smoke`` shrinks the graph and relaxes the timing
-bounds (>= 1.0x, i.e. "not slower") for noisy CI runners while keeping
-every exactness assertion.
+bounds for noisy CI runners while keeping every exactness assertion.
 """
 
 import argparse
@@ -45,17 +43,10 @@ from repro.bench import Table, format_seconds
 from repro.datasets import contextual_sbm
 from repro.graph.core import Graph
 from repro.models import SGC
-from repro.perf import (
-    OperatorCache,
-    PropagationEngine,
-    chunked_spmm,
-    get_default_arena,
-    rows_spmm,
-    rows_spmm_multi,
-)
+from repro.perf import OperatorCache, PropagationEngine, chunked_spmm
 from repro.training import train_decoupled
 
-BLOCKED_BOUND = 1.5
+FUSED_BOUND = 1.0
 F32_BOUND = 1.7
 ACCURACY_BOUND = 1e-3
 E28_WARM_FLOOR = 10.0
@@ -79,7 +70,7 @@ def _random_graph(n: int, avg_degree: int, width: int, seed: int = 0) -> Graph:
 
     Edges are sampled directly as random (i, j) pairs (``sp.random`` at
     this scale stalls in its without-replacement index sampling): E33
-    measures kernels, so all that matters is realistic size/sparsity.
+    measures the product, so all that matters is realistic size/sparsity.
     """
     rng = np.random.default_rng(seed)
     m = (n * avg_degree) // 2
@@ -98,49 +89,48 @@ def _random_graph(n: int, avg_degree: int, width: int, seed: int = 0) -> Graph:
     )
 
 
-def _blocked_vs_slice(graph: Graph, cache: OperatorCache, repeat: int) -> dict:
+def _dispatcher_vs_matmul(graph: Graph, cache: OperatorCache, repeat: int) -> dict:
     operator = cache.normalized_adjacency(graph, kind="sym", self_loops=True)
     x = np.ascontiguousarray(graph.x[:, :SERVE_WIDTH])
-    slice_s = _time(lambda: chunked_spmm(operator, x, kernel="slice"), repeat)
-    blocked_s = _time(
-        lambda: chunked_spmm(operator, x, kernel="blocked"), repeat
-    )
-    exact = bool(
-        (
-            chunked_spmm(operator, x, kernel="blocked")
-            == chunked_spmm(operator, x, kernel="slice")
-        ).all()
-    )
+    matmul_s = _time(lambda: operator @ x, repeat)
+    dispatch_s = _time(lambda: chunked_spmm(operator, x), repeat)
     return {
-        "slice_spmm_s": slice_s,
-        "blocked_spmm_s": blocked_s,
-        "blocked_speedup": slice_s / max(blocked_s, 1e-9),
-        "blocked_bitwise_equal": exact,
+        "matmul_spmm_s": matmul_s,
+        "dispatch_spmm_s": dispatch_s,
+        "dispatch_ratio": dispatch_s / max(matmul_s, 1e-9),
+        "dispatch_bitwise_equal": bool(
+            (chunked_spmm(operator, x) == operator @ x).all()
+        ),
     }
 
 
 def _fused_vs_materialized(graph: Graph, repeat: int) -> dict:
     # Cold caches on both sides: the fused path's win is (partly) never
     # building the normalized operator, so the build must be on the clock.
-    # Measured at serving width — the on-the-fly scaling adds two dense
-    # passes per hop, so its advantage is largest when the dense operand
-    # is narrow relative to the nnz-sized operator build it avoids (at
-    # training width it sits at parity and the win is the nnz * 16B of
-    # operator storage never allocated).
+    # Measured at serving width, where the nnz-sized operator build it
+    # avoids is large relative to the two extra dense scaling passes.
     x = np.ascontiguousarray(graph.x[:, :SERVE_WIDTH])
 
-    def run(fused: bool):
+    def fused():
         engine = PropagationEngine(
-            cache=OperatorCache(threadsafe=False), fused=fused,
-            threadsafe=False,
+            cache=OperatorCache(threadsafe=False), threadsafe=False
         )
         return engine.propagate(graph, x, K_HOPS, memoize=False)
 
-    fused_s = _time(lambda: run(True), repeat)
-    materialized_s = _time(lambda: run(False), repeat)
+    def materialized():
+        operator = OperatorCache(threadsafe=False).normalized_adjacency(
+            graph, kind="sym", self_loops=True
+        )
+        stack = [x]
+        for _ in range(K_HOPS):
+            stack.append(operator @ stack[-1])
+        return stack
+
+    fused_s = _time(fused, repeat)
+    materialized_s = _time(materialized, repeat)
     max_diff = max(
         float(np.max(np.abs(a - b))) if a.size else 0.0
-        for a, b in zip(run(True), run(False))
+        for a, b in zip(fused(), materialized())
     )
     return {
         "fused_khop_s": fused_s,
@@ -178,28 +168,6 @@ def _f32_vs_f64(graph: Graph, cache: OperatorCache, repeat: int) -> dict:
     }
 
 
-def _multi_rhs(graph: Graph, cache: OperatorCache, repeat: int) -> dict:
-    operator = cache.normalized_adjacency(graph, kind="sym", self_loops=True)
-    n = graph.n_nodes
-    rng = np.random.default_rng(7)
-    rows = np.sort(rng.choice(n, size=max(n // 20, 64), replace=False))
-    denses = [rng.normal(size=(n, 16)) for _ in range(4)]
-    per_rhs_s = _time(
-        lambda: [rows_spmm(operator, rows, d) for d in denses], repeat
-    )
-    multi_s = _time(lambda: rows_spmm_multi(operator, rows, denses), repeat)
-    exact = all(
-        bool((m == rows_spmm(operator, rows, d)).all())
-        for m, d in zip(rows_spmm_multi(operator, rows, denses), denses)
-    )
-    return {
-        "rows_per_rhs_s": per_rhs_s,
-        "rows_multi_s": multi_s,
-        "multi_rhs_speedup": per_rhs_s / max(multi_s, 1e-9),
-        "multi_rhs_exact": exact,
-    }
-
-
 def _training_parity(smoke: bool) -> dict:
     """Test accuracy of a model trained on a float32 vs a float64 stack."""
     n = 600 if smoke else 2000
@@ -234,59 +202,49 @@ def _e28_floor() -> dict:
 def run(smoke: bool = False) -> dict:
     if smoke:
         n, repeat = 30_000, 2
-        blocked_bound, f32_bound, fused_bound = 1.0, 1.0, 0.85
+        f32_bound, fused_bound = 1.0, 0.85
     else:
         n, repeat = 120_000, 3
-        blocked_bound, f32_bound, fused_bound = BLOCKED_BOUND, F32_BOUND, 1.0
+        f32_bound, fused_bound = F32_BOUND, FUSED_BOUND
 
     graph = _random_graph(n, avg_degree=10, width=TRAIN_WIDTH, seed=3)
     cache = OperatorCache(threadsafe=False)
-    get_default_arena().reset()
 
     results = {
-        **_blocked_vs_slice(graph, cache, repeat),
+        **_dispatcher_vs_matmul(graph, cache, repeat),
         **_fused_vs_materialized(graph, repeat),
         **_f32_vs_f64(graph, cache, repeat),
-        **_multi_rhs(graph, cache, repeat),
         **_training_parity(smoke),
         **_e28_floor(),
     }
 
     table = Table(
-        "E33: SpMM kernel layer (blocked / fused / float32 / multi-RHS)",
-        ["metric", "value"],
+        f"E33: SpMM path vs A @ X (n={n}, nnz~{graph.n_edges}, K={K_HOPS})",
+        ["comparison", "baseline", "candidate", "ratio", "agreement"],
     )
-    table.add_row("graph", f"n={n}, nnz~{graph.n_edges}, K={K_HOPS}")
-    table.add_row(f"slice SpMM (d={SERVE_WIDTH})",
-                  format_seconds(results["slice_spmm_s"]))
-    table.add_row(f"blocked SpMM (d={SERVE_WIDTH})",
-                  format_seconds(results["blocked_spmm_s"]))
-    table.add_row("blocked speedup / bound",
-                  f"{results['blocked_speedup']:.2f}x / "
-                  f">= {blocked_bound:.1f}x")
-    table.add_row(f"fused K-hop (cold, d={SERVE_WIDTH})",
-                  format_seconds(results["fused_khop_s"]))
-    table.add_row(f"materialized K-hop (cold, d={SERVE_WIDTH})",
-                  format_seconds(results["materialized_khop_s"]))
-    table.add_row("fused speedup / max |diff|",
-                  f"{results['fused_speedup']:.2f}x / "
-                  f"{results['fused_max_abs_diff']:.1e}")
-    table.add_row(f"float64 K-hop (d={TRAIN_WIDTH})",
-                  format_seconds(results["f64_khop_s"]))
-    table.add_row(f"float32 K-hop (d={TRAIN_WIDTH})",
-                  format_seconds(results["f32_khop_s"]))
-    table.add_row("float32 speedup / bound",
-                  f"{results['f32_speedup']:.2f}x / >= {f32_bound:.1f}x")
-    table.add_row("float32 stack max |diff|",
-                  f"{results['f32_max_abs_diff']:.1e}")
-    table.add_row("multi-RHS speedup",
-                  f"{results['multi_rhs_speedup']:.2f}x")
-    table.add_row("test acc f64 / f32",
-                  f"{results['f64_test_accuracy']:.3f} / "
-                  f"{results['f32_test_accuracy']:.3f}")
-    e28 = results["e28_min_warm_speedup"]
-    table.add_row("E28 min warm speedup",
-                  "absent" if e28 is None else f"{e28:.0f}x")
+    table.add_row(
+        f"chunked_spmm vs A @ X (d={SERVE_WIDTH})",
+        format_seconds(results["matmul_spmm_s"]),
+        format_seconds(results["dispatch_spmm_s"]),
+        f"{results['dispatch_ratio']:.2f}x time",
+        "bitwise" if results["dispatch_bitwise_equal"] else "DIFFERS",
+    )
+    table.add_row(
+        f"cold fused vs materialized K-hop (d={SERVE_WIDTH})",
+        format_seconds(results["materialized_khop_s"]),
+        format_seconds(results["fused_khop_s"]),
+        f"{results['fused_speedup']:.2f}x speedup (>= {fused_bound:.2f}x)",
+        f"max |diff| {results['fused_max_abs_diff']:.1e}",
+    )
+    table.add_row(
+        f"float32 vs float64 K-hop (d={TRAIN_WIDTH})",
+        format_seconds(results["f64_khop_s"]),
+        format_seconds(results["f32_khop_s"]),
+        f"{results['f32_speedup']:.2f}x speedup (>= {f32_bound:.1f}x)",
+        f"max |diff| {results['f32_max_abs_diff']:.1e}, test acc "
+        f"{results['f64_test_accuracy']:.3f} / "
+        f"{results['f32_test_accuracy']:.3f}",
+    )
     emit(table, "E33_spmm_kernels")
 
     payload = {
@@ -294,23 +252,15 @@ def run(smoke: bool = False) -> dict:
         "smoke": smoke,
         "n_nodes": n,
         "k_hops": K_HOPS,
-        "blocked_bound": blocked_bound,
         "f32_bound": f32_bound,
         "fused_bound": fused_bound,
         "accuracy_bound": ACCURACY_BOUND,
         **results,
     }
-    emit_json(
-        "E33_spmm_kernels", payload, metrics=True, dtype=np.float32,
-        arena_stats=True,
-    )
+    emit_json("E33_spmm_kernels", payload, metrics=True, dtype=np.float32)
 
-    assert results["blocked_bitwise_equal"], (
-        "blocked kernel must be bitwise identical to the slice path"
-    )
-    assert results["blocked_speedup"] >= blocked_bound, (
-        f"blocked kernel must be >= {blocked_bound:.1f}x the slice path, "
-        f"measured {results['blocked_speedup']:.2f}x"
+    assert results["dispatch_bitwise_equal"], (
+        "chunked_spmm must be bitwise identical to A @ X"
     )
     assert results["fused_speedup"] >= fused_bound, (
         f"fused normalize+propagate must be >= {fused_bound:.2f}x "
@@ -318,7 +268,7 @@ def run(smoke: bool = False) -> dict:
         f"{results['fused_speedup']:.2f}x"
     )
     assert results["fused_max_abs_diff"] < 1e-9, (
-        "fused kernel must agree with the materialized operator"
+        "fused hops must agree with the materialized operator"
     )
     assert results["f32_speedup"] >= f32_bound, (
         f"float32 precompute must be >= {f32_bound:.1f}x float64, "
@@ -327,9 +277,6 @@ def run(smoke: bool = False) -> dict:
     assert results["f32_max_abs_diff"] < ACCURACY_BOUND, (
         f"float32 hop stack must agree with float64 to "
         f"{ACCURACY_BOUND:g}, measured {results['f32_max_abs_diff']:.2e}"
-    )
-    assert results["multi_rhs_exact"], (
-        "rows_spmm_multi must match per-RHS rows_spmm exactly"
     )
     assert results["train_accuracy_delta"] < max(
         ACCURACY_BOUND, 2.5 / (600 if smoke else 2000)
@@ -350,12 +297,12 @@ def run(smoke: bool = False) -> dict:
 def test_spmm_kernels(benchmark):
     run(smoke=True)
 
-    # pytest-benchmark hook: one blocked SpMM at serving width on a warm
-    # operator (the hop the speedup bound protects).
+    # pytest-benchmark hook: one dispatched SpMM at serving width on a
+    # warm operator.
     graph = _random_graph(20_000, avg_degree=10, width=SERVE_WIDTH, seed=5)
     cache = OperatorCache(threadsafe=False)
     operator = cache.normalized_adjacency(graph, kind="sym", self_loops=True)
-    benchmark(chunked_spmm, operator, graph.x, kernel="blocked")
+    benchmark(chunked_spmm, operator, graph.x)
 
 
 def main(argv=None) -> int:
@@ -368,10 +315,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     payload = run(smoke=args.smoke)
     print(
-        f"E33 ok: blocked {payload['blocked_speedup']:.2f}x, "
+        f"E33 ok: dispatcher {payload['dispatch_ratio']:.2f}x A @ X time, "
         f"fused {payload['fused_speedup']:.2f}x, "
-        f"float32 {payload['f32_speedup']:.2f}x, "
-        f"multi-RHS {payload['multi_rhs_speedup']:.2f}x"
+        f"float32 {payload['f32_speedup']:.2f}x"
     )
     return 0
 

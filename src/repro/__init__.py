@@ -11,7 +11,7 @@ Scalable Graph Neural Networks: The Perspective of Graph Data Management"*:
 * :mod:`repro.editing` — graph editing (§3.3): sparsification, sampling,
   partitioning, coarsening/condensation, subgraph extraction.
 * :mod:`repro.models` — the scalable-GNN zoo (§3.1–3.3) built on the above.
-* :mod:`repro.perf` — operator caching and the shared chunked propagation
+* :mod:`repro.perf` — operator caching and the shared K-hop propagation
   engine: precomputation reuse across every decoupled model.
 * :mod:`repro.serving` — online inference: micro-batched request serving,
   content-keyed embedding store, incremental dirty-set invalidation.

@@ -63,7 +63,7 @@ def make_views(
     for _ in range(n_views):
         corrupted = _drop_edges(graph, edge_drop, rng)
         x = graph.x * (rng.random(graph.x.shape) >= feature_mask)
-        # Corrupted views are one-offs: chunked propagation, but no
+        # Corrupted views are one-offs: shared propagation, but no
         # memoization (they would only evict reusable stacks).
         hops = engine.propagate(corrupted, x, k_hops, kind="gcn", memoize=False)
         views.append(hops[-1])

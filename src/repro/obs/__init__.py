@@ -79,15 +79,10 @@ def _register_default_sources(registry: MetricsRegistry) -> None:
     reflected in the next snapshot. Imported lazily — :mod:`repro.perf`
     imports this package for its hot-path guards.
     """
-    from repro.perf import (
-        get_default_arena,
-        get_default_cache,
-        get_default_engine,
-    )
+    from repro.perf import get_default_cache, get_default_engine
 
     registry.register_source("perf.operator_cache", get_default_cache)
     registry.register_source("perf.propagation", get_default_engine)
-    registry.register_source("perf.arena", get_default_arena)
 
 
 def configure(

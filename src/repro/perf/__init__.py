@@ -1,4 +1,4 @@
-"""Precomputation reuse: operator caching and shared chunked propagation.
+"""Precomputation reuse: operator caching and shared K-hop propagation.
 
 The paper's data-management thesis is that scalable GNNs win by *reusing
 precomputation*: decoupled models consume the same normalized-adjacency
@@ -12,36 +12,15 @@ that reuse concrete:
   memoization of adjacency / normalized adjacency / Laplacian /
   propagation operators (and their value-dtype variants) with hit/miss
   accounting.
-* :mod:`repro.perf.kernels` — hand-rolled CSR SpMM kernels: zero-copy
-  row walk, L2-tiled column blocking (:class:`SpmmPlan`), the fused
-  normalize+propagate :class:`FusedOperator`, and reusable
-  :class:`RowBand` decodes for multi-RHS row products.
-* :mod:`repro.perf.arena` — :class:`BufferArena`, a shape/dtype-keyed
-  pool of dense scratch buffers rented by the kernels and the serving
-  batch workers.
-* :mod:`repro.perf.propagation` — :class:`PropagationEngine`, row-chunked
-  (bounded-memory) K-hop SpMM with memoized hop stacks, the shared
-  ``propagate(graph, X, K, kind)`` entry point of every decoupled model;
-  its ``chunked_spmm``/``rows_spmm`` dispatchers own the fault sites and
-  route to the kernels.
+* :mod:`repro.perf.propagation` — :class:`PropagationEngine`, K-hop SpMM
+  with memoized hop stacks, the shared ``propagate(graph, X, K, kind)``
+  entry point of every decoupled model. Every hop is one SciPy
+  ``operator @ X``; ``chunked_spmm``, ``fused_spmm`` (the ``gcn``/``sym``
+  normalization applied on the fly by :class:`FusedOperator`) and
+  ``rows_spmm`` own the ``propagation.hop`` fault site.
 """
 
-from repro.perf.arena import (
-    BufferArena,
-    get_default_arena,
-    set_default_arena,
-)
 from repro.perf.fingerprint import array_fingerprint, graph_fingerprint
-from repro.perf.kernels import (
-    DEFAULT_L2_BUDGET,
-    HAVE_SPARSETOOLS,
-    FusedOperator,
-    RowBand,
-    SpmmPlan,
-    blocked_spmm,
-    get_fused_operator,
-    kernel_supported,
-)
 from repro.perf.operator_cache import (
     OperatorCache,
     cached_adjacency,
@@ -53,13 +32,13 @@ from repro.perf.operator_cache import (
 )
 from repro.perf.propagation import (
     DEFAULT_CHUNK_ROWS,
+    FusedOperator,
     PropagationEngine,
     chunked_spmm,
     fused_spmm,
     get_default_engine,
     propagate,
     rows_spmm,
-    rows_spmm_multi,
     set_default_engine,
 )
 
@@ -73,22 +52,11 @@ __all__ = [
     "cached_normalized_adjacency",
     "cached_laplacian",
     "cached_propagation_matrix",
-    "BufferArena",
-    "get_default_arena",
-    "set_default_arena",
-    "SpmmPlan",
     "FusedOperator",
-    "RowBand",
-    "blocked_spmm",
-    "get_fused_operator",
-    "kernel_supported",
-    "HAVE_SPARSETOOLS",
-    "DEFAULT_L2_BUDGET",
     "PropagationEngine",
     "chunked_spmm",
     "fused_spmm",
     "rows_spmm",
-    "rows_spmm_multi",
     "propagate",
     "get_default_engine",
     "set_default_engine",

@@ -42,9 +42,7 @@ def _freeze(matrix: sp.csr_matrix) -> sp.csr_matrix:
     All three CSR arrays are frozen — ``data`` *and* the
     ``indices``/``indptr`` structure — so a caller mutating a cached
     operator's values or topology raises instead of silently corrupting
-    every sharer. The frozen-data flag doubles as the kernel layer's
-    "long-lived operator" signal (see
-    :func:`repro.perf.kernels.blocked_spmm`'s plan heuristic).
+    every sharer.
     """
     for arr in (matrix.data, matrix.indices, matrix.indptr):
         arr.setflags(write=False)

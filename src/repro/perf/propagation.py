@@ -1,4 +1,4 @@
-"""Row-chunked K-hop propagation with memoized hop-feature stacks.
+"""K-hop propagation with memoized hop-feature stacks.
 
 The single graph-touching step of every decoupled model is the K-hop
 stack :math:`[X, PX, \\ldots, P^K X]` for some propagation operator
@@ -8,21 +8,21 @@ that asks — SGC, SIGN, GAMLP, LD2, KRR and the spectral filters all go
 through :meth:`PropagationEngine.propagate`, so repeat experiments on the
 same graph pay zero additional SpMM cost.
 
-The SpMM itself is *row-chunked* (:func:`chunked_spmm`): the operator is
-applied ``chunk_rows`` rows at a time, so the transient working set stays
-bounded regardless of graph size — the bounded-peak-memory discipline of
-out-of-core systems (Ginex et al.), applied to in-memory precompute.
+Every hop is one SciPy product, ``operator @ dense``. The aggregation is
+memory-bound and a CSR × dense product writes straight into its output,
+so there is nothing for row chunking or column tiling to bound or reuse
+at the widths this library runs. Three thin entry points own the
+``propagation.hop`` fault-injection site:
 
-``chunked_spmm`` / ``rows_spmm`` are thin *dispatchers*: they own the
-``propagation.hop`` fault-injection site and the fallback semantics,
-and route eligible operands to the hand-rolled CSR kernels of
-:mod:`repro.perf.kernels` (zero-copy row walk, L2-tiled column
-blocking, decoded row bands). Unsupported dtypes or operator formats
-take the legacy per-chunk scipy slice path unchanged. For the
-``gcn``/``sym`` engines the per-hop multiply runs through a
-:class:`~repro.perf.kernels.FusedOperator` — normalization applied on
-the fly, the normalized operator never materialized — with scratch
-rented from :mod:`repro.perf.arena`.
+* :func:`chunked_spmm` — ``operator @ dense`` for a materialized
+  operator;
+* :func:`fused_spmm` — one hop through a :class:`FusedOperator`, the
+  ``gcn``/``sym`` normalization :math:`D^{-1/2} A D^{-1/2}` applied on
+  the fly as ``s * (A @ (s * X))``, so the normalized operator is never
+  built;
+* :func:`rows_spmm` — ``operator[rows] @ dense``, the dirty-row kernel of
+  incremental serving, processed ``chunk_rows`` selected rows at a time
+  to bound the sub-matrix copy.
 
 The engine is dtype-aware end to end: ``PropagationEngine(dtype=...)``
 (or a per-call ``propagate(..., dtype=...)`` override) selects float32
@@ -45,8 +45,6 @@ import scipy.sparse as sp
 from repro.errors import ConfigError
 from repro.graph.core import Graph
 from repro.obs import OBS
-from repro.perf import kernels
-from repro.perf.arena import BufferArena
 from repro.perf.fingerprint import array_fingerprint
 from repro.perf.operator_cache import OperatorCache, get_default_cache
 from repro.resilience.faults import FAULTS
@@ -56,9 +54,56 @@ from repro.utils.validation import check_int_range
 
 DEFAULT_CHUNK_ROWS = 16384
 
+SUPPORTED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
 _ENGINE_KINDS = ("gcn", "rw", "lazy", "col", "sym", "lap")
 
-_SPMM_KERNELS = ("auto", "blocked", "rowwalk", "slice")
+
+class FusedOperator:
+    """Symmetric normalization fused into the product: ``D^-1/2 A D^-1/2``.
+
+    Holds the *raw* adjacency (with or without self-loops) and the
+    degree-scaling vector :math:`s_i = d_i^{-1/2}` (zero for isolated
+    nodes, matching :func:`repro.graph.ops.normalized_adjacency`).
+    ``self @ X`` computes :math:`s \\odot (A (s \\odot X))`, so the
+    nnz-sized normalized operator of the ``gcn``/``sym`` engines is never
+    materialized. Agreement with the materialized operator is to rounding
+    error (the scale factors associate differently), around 1e-15
+    relative for float64.
+    """
+
+    def __init__(self, adjacency: sp.csr_matrix) -> None:
+        if not isinstance(adjacency, sp.csr_matrix):
+            raise ConfigError("FusedOperator requires a csr_matrix adjacency")
+        if adjacency.data.dtype not in SUPPORTED_DTYPES:
+            raise ConfigError("FusedOperator requires float32/float64 data")
+        self.adjacency = adjacency
+        self.shape = adjacency.shape
+        self.dtype = adjacency.data.dtype
+        # Degrees summed in float64 regardless of the operand dtype so the
+        # float32 mode's scale vector is a rounding of the exact one.
+        deg = np.asarray(adjacency.sum(axis=1), dtype=np.float64).ravel()
+        scale = np.zeros_like(deg)
+        np.power(deg, -0.5, where=deg > 0, out=scale)
+        self.scale = scale.astype(self.dtype)
+        self.scale.setflags(write=False)
+
+    @property
+    def nnz(self) -> int:
+        return int(self.adjacency.nnz)
+
+    def __matmul__(self, dense: np.ndarray) -> np.ndarray:
+        dense = np.asarray(dense)
+        scale = self.scale if dense.ndim == 1 else self.scale[:, None]
+        out = self.adjacency @ (dense * scale)
+        out *= scale
+        return out
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (
+            f"FusedOperator(shape={self.shape}, nnz={self.nnz}, "
+            f"dtype={self.dtype})"
+        )
 
 
 def _fire_hop_fault():
@@ -84,109 +129,22 @@ def _apply_hop_fault(inj, action, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def chunked_spmm(
-    operator: sp.spmatrix,
-    dense: np.ndarray,
-    chunk_rows: int = DEFAULT_CHUNK_ROWS,
-    kernel: str = "auto",
-    l2_budget: int = kernels.DEFAULT_L2_BUDGET,
-) -> np.ndarray:
-    """``operator @ dense`` computed ``chunk_rows`` rows at a time.
+def chunked_spmm(operator: sp.spmatrix, dense: np.ndarray) -> np.ndarray:
+    """One hop, ``operator @ dense``, for a materialized operator.
 
-    Numerically identical to the monolithic product (bitwise, for a
-    sorted-indices CSR operator), with the transient working set bounded
-    regardless of graph size. ``kernel`` selects the implementation:
-
-    - ``"auto"`` (default): the hand-rolled kernels of
-      :mod:`repro.perf.kernels` when the operand pair qualifies
-      (:func:`~repro.perf.kernels.kernel_supported`), else the legacy
-      slice path — column-blocked via a cached
-      :class:`~repro.perf.kernels.SpmmPlan` for frozen operators whose
-      dense operand overflows ``l2_budget``, zero-copy row walk
-      otherwise.
-    - ``"blocked"`` / ``"rowwalk"``: force the kernel path (with / without
-      column-plan eligibility); raises :class:`ConfigError` if the
-      operands don't qualify.
-    - ``"slice"``: force the legacy per-chunk ``operator[start:stop] @
-      dense`` scipy path.
+    A single SciPy product: it writes straight into its output, so there
+    is no transient for row chunking to bound. Bitwise identical to
+    ``operator @ dense`` when no fault is injected.
     """
-    check_int_range("chunk_rows", chunk_rows, 1)
-    if kernel not in _SPMM_KERNELS:
-        raise ConfigError(f"kernel must be one of {_SPMM_KERNELS}, got {kernel!r}")
     inj, action = _fire_hop_fault()
-    dense = np.asarray(dense)
-    if kernel != "slice" and kernels.kernel_supported(operator, dense):
-        out = kernels.blocked_spmm(
-            operator, dense, chunk_rows, l2_budget=l2_budget,
-            plan="auto" if kernel in ("auto", "blocked") else "never",
-        )
-    elif kernel in ("blocked", "rowwalk"):
-        raise ConfigError(
-            f"kernel={kernel!r} requires a float32/float64 CSR operator "
-            "with a matching-dtype dense operand (see kernel_supported)"
-        )
-    else:
-        n_rows = operator.shape[0]
-        if n_rows <= chunk_rows:
-            out = operator @ dense
-        else:
-            operator = operator.tocsr()
-            out_shape = (n_rows,) if dense.ndim == 1 else (n_rows, dense.shape[1])
-            out = np.empty(
-                out_shape, dtype=np.result_type(operator.dtype, dense.dtype)
-            )
-            for start in range(0, n_rows, chunk_rows):
-                stop = min(start + chunk_rows, n_rows)
-                out[start:stop] = operator[start:stop] @ dense
-    return _apply_hop_fault(inj, action, out)
+    return _apply_hop_fault(inj, action, operator @ np.asarray(dense))
 
 
-def fused_spmm(
-    operator: kernels.FusedOperator,
-    dense: np.ndarray,
-    chunk_rows: int = DEFAULT_CHUNK_ROWS,
-    l2_budget: int = kernels.DEFAULT_L2_BUDGET,
-    arena: BufferArena | None = None,
-) -> np.ndarray:
-    """One fused normalize+propagate hop, under the ``propagation.hop``
-    fault site (the fused analogue of :func:`chunked_spmm`)."""
-    check_int_range("chunk_rows", chunk_rows, 1)
+def fused_spmm(operator: FusedOperator, dense: np.ndarray) -> np.ndarray:
+    """One fused normalize+propagate hop, ``operator @ dense`` for a
+    :class:`FusedOperator` (the fused analogue of :func:`chunked_spmm`)."""
     inj, action = _fire_hop_fault()
-    out = operator.matmul(
-        np.asarray(dense), chunk_rows, l2_budget=l2_budget, arena=arena
-    )
-    return _apply_hop_fault(inj, action, out)
-
-
-def _rows_product(operator, rows, dense, chunk_rows, band):
-    """The fault-free core of :func:`rows_spmm` (dispatch + chunking)."""
-    if (
-        band is not None
-        and kernels.HAVE_SPARSETOOLS
-        and band.dtype == dense.dtype
-        and dense.flags.c_contiguous
-        and band.matches(rows)
-    ):
-        return band.matmul(dense)
-    csr = operator.tocsr()
-    if len(rows) and kernels.kernel_supported(csr, dense):
-        out = np.empty((len(rows),) + dense.shape[1:], dtype=dense.dtype)
-        for start in range(0, len(rows), chunk_rows):
-            stop = min(start + chunk_rows, len(rows))
-            kernels.RowBand(csr, rows[start:stop]).matmul(
-                dense, out=out[start:stop]
-            )
-        return out
-    if len(rows) <= chunk_rows:
-        return csr[rows] @ dense
-    out = np.empty(
-        (len(rows),) + dense.shape[1:],
-        dtype=np.result_type(csr.dtype, dense.dtype),
-    )
-    for start in range(0, len(rows), chunk_rows):
-        stop = min(start + chunk_rows, len(rows))
-        out[start:stop] = csr[rows[start:stop]] @ dense
-    return out
+    return _apply_hop_fault(inj, action, operator @ np.asarray(dense))
 
 
 def rows_spmm(
@@ -194,82 +152,59 @@ def rows_spmm(
     rows: np.ndarray,
     dense: np.ndarray,
     chunk_rows: int = DEFAULT_CHUNK_ROWS,
-    band: kernels.RowBand | None = None,
 ) -> np.ndarray:
     """``(operator @ dense)[rows]`` without computing the full product.
 
-    Multiplies only the band of the selected rows — cost proportional to
-    their non-zeros, not the whole graph. The localized-recompute kernel
-    of incremental serving: after an edge insertion only the dirty K-hop
+    Multiplies only the selected rows — cost proportional to their
+    non-zeros, not the whole graph. The localized-recompute kernel of
+    incremental serving: after an edge insertion only the dirty K-hop
     rows of a hop stack are re-derived this way.
 
-    The selection is processed ``chunk_rows`` rows at a time, so a dirty
-    frontier covering most of the graph still observes the same peak
-    transient memory bound as :func:`chunked_spmm`. Eligible operands
-    decode each chunk into a :class:`~repro.perf.kernels.RowBand`
-    (vectorized index gather, no scipy fancy-index slice); a caller that
-    applies the *same* row set repeatedly may pass a pre-decoded
-    ``band`` to skip the decode entirely (it is used only when it
-    matches ``rows`` and the dense dtype).
+    The ``operator[rows]`` sub-matrix is a copy, so the selection is
+    processed ``chunk_rows`` rows at a time: a dirty frontier covering
+    most of the graph still copies at most ``chunk_rows`` rows at once.
+    Negative ids count from the end; any id outside ``[-n, n)`` raises
+    :class:`ConfigError`.
     """
     check_int_range("chunk_rows", chunk_rows, 1)
-    inj, action = _fire_hop_fault()
     rows = np.asarray(rows, dtype=np.int64)
+    n_rows = operator.shape[0]
+    if len(rows) and (rows.min() < -n_rows or rows.max() >= n_rows):
+        raise ConfigError(f"row indices outside [-{n_rows}, {n_rows})")
+    inj, action = _fire_hop_fault()
     dense = np.asarray(dense)
-    out = _rows_product(operator, rows, dense, chunk_rows, band)
+    csr = operator.tocsr()
+    if len(rows) <= chunk_rows:
+        out = csr[rows] @ dense
+    else:
+        out = np.empty(
+            (len(rows),) + dense.shape[1:],
+            dtype=np.result_type(csr.dtype, dense.dtype),
+        )
+        for start in range(0, len(rows), chunk_rows):
+            stop = min(start + chunk_rows, len(rows))
+            out[start:stop] = csr[rows[start:stop]] @ dense
     return _apply_hop_fault(inj, action, out)
 
 
-def rows_spmm_multi(
-    operator: sp.spmatrix,
-    rows: np.ndarray,
-    denses: list[np.ndarray],
-    chunk_rows: int = DEFAULT_CHUNK_ROWS,
-) -> list[np.ndarray]:
-    """``[(operator @ D)[rows] for D in denses]`` with one index decode.
-
-    The multi-RHS batched form of :func:`rows_spmm`: each ``chunk_rows``
-    window of the selection is decoded into a
-    :class:`~repro.perf.kernels.RowBand` once and applied to every
-    stacked right-hand side, amortizing the index arithmetic that
-    otherwise dominates when the dense operands are narrow. One
-    ``propagation.hop`` fault decision covers the whole batch (it is a
-    single logical recompute).
-    """
-    check_int_range("chunk_rows", chunk_rows, 1)
-    inj, action = _fire_hop_fault()
-    rows = np.asarray(rows, dtype=np.int64)
-    denses = [np.asarray(d) for d in denses]
-    csr = operator.tocsr() if denses else operator
-    if denses and all(
-        d.dtype == denses[0].dtype and kernels.kernel_supported(csr, d)
-        for d in denses
-    ):
-        outs = [
-            np.empty((len(rows),) + d.shape[1:], dtype=d.dtype) for d in denses
-        ]
-        for start in range(0, len(rows), chunk_rows):
-            stop = min(start + chunk_rows, len(rows))
-            band = kernels.RowBand(csr, rows[start:stop])
-            for dense, out in zip(denses, outs):
-                band.matmul(dense, out=out[start:stop])
-    else:
-        outs = [
-            _rows_product(csr, rows, dense, chunk_rows, None) for dense in denses
-        ]
-    return [_apply_hop_fault(inj, action, out) for out in outs]
+def _frozen(arr: np.ndarray) -> bool:
+    """Whether ``arr``'s data cannot change: it is read-only and either
+    owns its data or every array it views is read-only too."""
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return False
+        arr = arr.base
+    return arr is None
 
 
 class PropagationEngine:
-    """Shared K-hop propagation: chunked SpMM + memoized hop stacks.
+    """Shared K-hop propagation: one SpMM per hop + memoized hop stacks.
 
     Parameters
     ----------
     cache:
         Operator cache used to build/reuse the propagation operators; when
         ``None`` the process-wide default cache is consulted at call time.
-    chunk_rows:
-        Row-chunk size for :func:`chunked_spmm`.
     max_stacks:
         LRU bound on memoized hop stacks (each stack holds ``K+1`` dense
         ``(n, d)`` arrays, so this is the dominant memory knob).
@@ -284,42 +219,27 @@ class PropagationEngine:
         the historical behaviour) or ``float32``, which halves the
         memory traffic of the memory-bound SpMM. Overridable per call
         via ``propagate(..., dtype=...)``.
-    fused:
-        Run ``gcn``/``sym`` hops through the fused normalize+propagate
-        kernel (:class:`repro.perf.kernels.FusedOperator`) instead of
-        materializing the normalized operator (default on; agreement is
-        to rounding error, ~1e-15 relative for float64).
-    l2_budget:
-        Dense-tile cache budget handed to the blocked kernels.
-    arena:
-        Buffer arena the fused kernel rents scratch from; ``None`` uses
-        the process-wide default arena.
+
+    ``gcn``/``sym`` hops always run through a :class:`FusedOperator`, so
+    their normalized operator is never materialized; the other kinds
+    multiply by the cached operator of :meth:`operator`.
     """
 
     def __init__(
         self,
         cache: OperatorCache | None = None,
-        chunk_rows: int = DEFAULT_CHUNK_ROWS,
         max_stacks: int = 8,
         threadsafe: bool = True,
         dtype=np.float64,
-        fused: bool = True,
-        l2_budget: int = kernels.DEFAULT_L2_BUDGET,
-        arena: BufferArena | None = None,
     ) -> None:
-        check_int_range("chunk_rows", chunk_rows, 1)
         check_int_range("max_stacks", max_stacks, 1)
-        check_int_range("l2_budget", l2_budget, 1)
         self._cache = cache
-        self.chunk_rows = chunk_rows
         self.max_stacks = max_stacks
         self.dtype = self._check_dtype(dtype)
-        self.fused = bool(fused)
-        self.l2_budget = l2_budget
-        self._arena = arena
         self._lock = make_lock(threadsafe)
         self._stacks: OrderedDict[tuple, list[np.ndarray]] = OrderedDict()
         self._feature_hashes: OrderedDict[int, tuple[np.ndarray, str]] = OrderedDict()
+        self._fused: OrderedDict[int, FusedOperator] = OrderedDict()
         self._hits = 0
         self._misses = 0
         self._evictions = 0
@@ -327,7 +247,7 @@ class PropagationEngine:
     @staticmethod
     def _check_dtype(dtype) -> np.dtype:
         dt = np.dtype(dtype)
-        if dt not in kernels.SUPPORTED_DTYPES:
+        if dt not in SUPPORTED_DTYPES:
             raise ConfigError(
                 f"propagation dtype must be float32 or float64, got {dt}"
             )
@@ -378,35 +298,42 @@ class PropagationEngine:
 
     def _hop_operator(self, graph: Graph, kind: str, alpha, dtype: np.dtype):
         """What one hop multiplies by: a fused wrapper for the
-        symmetric-normalized kinds, else the cached materialized operator."""
-        if self.fused and kind in ("gcn", "sym") and kernels.HAVE_SPARSETOOLS:
-            adj = self.cache.adjacency(
-                graph, self_loops=(kind == "gcn"), dtype=dtype
-            )
-            if isinstance(adj, sp.csr_matrix) and adj.data.dtype == dtype:
-                return kernels.get_fused_operator(adj)
-        return self.operator(graph, kind, alpha, dtype=dtype)
+        symmetric-normalized kinds, else the cached materialized operator.
 
-    def _apply_hop(self, operator, dense: np.ndarray) -> np.ndarray:
-        """One hop through the matching dispatcher (fault site included)."""
-        if isinstance(operator, kernels.FusedOperator):
-            return fused_spmm(
-                operator, dense, self.chunk_rows,
-                l2_budget=self.l2_budget, arena=self._arena,
-            )
-        return chunked_spmm(
-            operator, dense, self.chunk_rows, l2_budget=self.l2_budget
-        )
+        Fused wrappers are memoized per cached adjacency: their degree
+        scan costs several percent of a K-hop pass on small graphs.
+        """
+        if kind not in ("gcn", "sym"):
+            return self.operator(graph, kind, alpha, dtype=dtype)
+        adj = self.cache.adjacency(graph, self_loops=(kind == "gcn"),
+                                   dtype=dtype)
+        with self._lock or NULL_LOCK:
+            fused = self._fused.get(id(adj))
+            # The entry's strong reference to its adjacency keeps the id
+            # from being recycled while the entry lives.
+            if fused is None or fused.adjacency is not adj:
+                fused = self._fused[id(adj)] = FusedOperator(adj)
+                if len(self._fused) > self.max_stacks:
+                    self._fused.popitem(last=False)
+            return fused
+
+    @staticmethod
+    def _apply_hop(operator, dense: np.ndarray) -> np.ndarray:
+        """One hop through the matching entry point (fault site included)."""
+        if isinstance(operator, FusedOperator):
+            return fused_spmm(operator, dense)
+        return chunked_spmm(operator, dense)
 
     def _feature_fingerprint(self, features: np.ndarray) -> str:
         """Content hash of a feature matrix, memoized by identity.
 
-        Read-only arrays (e.g. ``graph.x``, or a previously served hop)
-        cannot change content, so their digest is cached keyed by object
-        identity — repeat lookups of a warm stack cost O(1) instead of a
-        full re-hash. Writable arrays are always re-hashed.
+        Arrays whose data cannot change (:func:`_frozen`: e.g.
+        ``graph.x``, or a previously served hop) get their digest cached
+        keyed by object identity — repeat lookups of a warm stack cost
+        O(1) instead of a full re-hash. Anything else is re-hashed,
+        including a read-only view of a writable buffer.
         """
-        if features.flags.writeable:
+        if not _frozen(features):
             return array_fingerprint(features)
         key = id(features)
         entry = self._feature_hashes.get(key)
@@ -429,8 +356,7 @@ class PropagationEngine:
         """
         with OBS.tracer.span(
             "perf.spmm", hop=hop, nnz=int(operator.nnz),
-            chunk_rows=self.chunk_rows,
-            fused=isinstance(operator, kernels.FusedOperator),
+            fused=isinstance(operator, FusedOperator),
         ) as span:
             out = self._apply_hop(operator, dense)
             span.set(out_bytes=int(out.nbytes))
@@ -524,7 +450,7 @@ class PropagationEngine:
             return list(stack[: k + 1])
         self._misses += 1
         if stack is None:
-            base = features if not features.flags.writeable else features.copy()
+            base = features if _frozen(features) else features.copy()
             base.setflags(write=False)
             stack = [base]
         if len(stack) <= k:
@@ -616,6 +542,7 @@ class PropagationEngine:
         with self._lock or NULL_LOCK:
             self._stacks.clear()
             self._feature_hashes.clear()
+            self._fused.clear()
             self._hits = self._misses = self._evictions = 0
 
     def __len__(self) -> int:
@@ -625,7 +552,7 @@ class PropagationEngine:
         s = self.stats
         return (
             f"PropagationEngine(stacks={len(self)}/{self.max_stacks}, "
-            f"hits={s.hits}, misses={s.misses}, chunk_rows={self.chunk_rows})"
+            f"hits={s.hits}, misses={s.misses})"
         )
 
 

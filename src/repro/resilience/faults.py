@@ -17,6 +17,7 @@ site                    instrumented code
 ======================  ====================================================
 ``storage.get``         :meth:`repro.storage.FeatureStore.get`
 ``propagation.hop``     :func:`repro.perf.chunked_spmm` /
+                        :func:`repro.perf.fused_spmm` /
                         :func:`repro.perf.rows_spmm` (every hop application)
 ``serving.batch``       :meth:`repro.serving.ServingEngine.run_batch`
 ``training.worker_step``  per-worker steps in

@@ -35,7 +35,6 @@ from repro.errors import LoadSheddingError, ServingError, TransientError
 from repro.graph.core import Graph
 from repro.models.nai import confidence_gated_predict
 from repro.obs import OBS
-from repro.perf.arena import get_default_arena
 from repro.resilience.faults import FAULTS
 from repro.serving.batching import BatchingQueue, PredictRequest
 from repro.serving.invalidation import UpdateReport, dirty_frontiers, patch_stack
@@ -386,26 +385,12 @@ class ServingEngine:
         record = self.registry.get(batch[0].model_key)
         nodes = np.fromiter((r.node_id for r in batch), dtype=np.int64)
         unique, inverse = np.unique(nodes, return_inverse=True)
-        # The per-batch gather buffer is rented from the process arena:
-        # steady-state workers recycle the same pages batch after batch
-        # instead of allocating a fresh (K+1, m, d) block per micro-batch.
-        # Safe to release after inference — the gate/forward take copies
-        # of the rows they keep (predictions/hops_used are fresh arrays).
-        arena = get_default_arena()
-        gather_buf = arena.rent(
-            (record.k_hops + 1, len(unique), record.stacked.shape[2]),
-            record.dtype,
-        )
-        try:
-            with obs.span("serving.gather", rows=len(unique), hops=record.k_hops):
-                # The gather copies the rows into the rented buffer, so only
-                # the gather itself needs to be consistent with concurrent
-                # stack patches.
-                with record.lock.reader:
-                    hop_rows = record.hop_rows(unique, out=gather_buf)
-            predictions, hops_used = self._infer(record, hop_rows, unique)
-        finally:
-            arena.release(gather_buf)
+        with obs.span("serving.gather", rows=len(unique), hops=record.k_hops):
+            # The gather copies the rows, so only the gather itself needs
+            # to be consistent with concurrent stack patches.
+            with record.lock.reader:
+                hop_rows = record.hop_rows(unique)
+        predictions, hops_used = self._infer(record, hop_rows, unique)
         if self.store is not None:
             self.store.put_many(
                 record.namespace,
@@ -507,7 +492,7 @@ class ServingEngine:
                 dirty = dirty_frontiers(dynamic, seeds, record.k_hops)
                 new_graph = dynamic.snapshot()
                 # dtype-matched operator: a float32 stack is patched with
-                # float32 products (kernel-eligible, no silent upcast).
+                # float32 products (no silent upcast).
                 operator = self.registry.engine.operator(
                     new_graph, record.kind, record.alpha, dtype=record.dtype
                 )

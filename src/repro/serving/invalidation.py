@@ -28,7 +28,6 @@ import scipy.sparse as sp
 
 from repro.errors import ConfigError
 from repro.graph.dynamic import DynamicGraph
-from repro.perf import kernels
 from repro.perf.propagation import DEFAULT_CHUNK_ROWS, rows_spmm
 from repro.utils.validation import check_int_range
 
@@ -117,13 +116,6 @@ def patch_stack(
     rows recomputed. The result is exact: untouched rows are
     bit-identical to a full recompute by the locality argument in the
     module docstring.
-
-    Dirty frontiers are cumulative, so once the BFS saturates,
-    consecutive depths share an identical row set — the decoded
-    :class:`~repro.perf.kernels.RowBand` of that set is reused across
-    those depths instead of re-decoding the operator's row spans per
-    depth (the right-hand side still changes every depth: it is the
-    freshly patched previous level).
     """
     if len(dirty_per_depth) != len(stack) - 1:
         raise ConfigError(
@@ -133,21 +125,12 @@ def patch_stack(
     check_int_range("chunk_rows", chunk_rows, 1)
     operator = operator.tocsr()
     rows_recomputed = 0
-    band = None
     for depth, rows in enumerate(dirty_per_depth, start=1):
         if len(rows) == 0:
             continue
         rows = np.asarray(rows, dtype=np.int64)
-        if band is not None and not band.matches(rows):
-            band = None
-        if (
-            band is None
-            and len(rows) <= chunk_rows
-            and kernels.kernel_supported(operator, stack[depth - 1])
-        ):
-            band = kernels.RowBand(operator, rows)
         stack[depth][rows] = rows_spmm(
-            operator, rows, stack[depth - 1], chunk_rows=chunk_rows, band=band
+            operator, rows, stack[depth - 1], chunk_rows=chunk_rows
         )
         rows_recomputed += len(rows)
     return rows_recomputed

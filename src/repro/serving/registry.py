@@ -81,18 +81,14 @@ class ServedModel:
         """Element type of the served hop stack (float32 or float64)."""
         return self.stacked.dtype
 
-    def hop_rows(
-        self, nodes: np.ndarray, out: np.ndarray | None = None
-    ) -> list[np.ndarray]:
+    def hop_rows(self, nodes: np.ndarray) -> list[np.ndarray]:
         """Depth-0..K embedding rows for ``nodes`` (gather, no propagation).
 
-        One batched gather over the stacked ``(K+1, n, d)`` array; ``out``
-        (shape ``(K+1, len(nodes), d)``, e.g. rented from a
-        :class:`~repro.perf.arena.BufferArena`) receives the rows when
-        given, and the returned per-depth arrays are views of it.
+        One batched gather over the stacked ``(K+1, n, d)`` array; the
+        returned per-depth arrays are views of the fresh gathered block.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
-        return list(np.take(self.stacked, nodes, axis=1, out=out))
+        return list(np.take(self.stacked, nodes, axis=1))
 
     def ensure_dynamic(self) -> DynamicGraph:
         """The mutable adjacency behind this model, created on first update."""
